@@ -49,9 +49,10 @@ placementPolicyName(PlacementPolicy p)
 }
 
 /** Drives the run queues through the host executor: every epoch each
- *  node pops a block of its own queue (items charge only their
- *  executing node, so lanes never race), and the serial barrier runs
- *  the steal round. */
+ *  node pops a block of its own queue, and the serial barrier runs the
+ *  steal round. A lane's step() touches only its node's queue, its
+ *  node's queuedWeight_ slot, and the relaxed-atomic items_executed
+ *  counter; items charge only their executing node. */
 class SchedDriver final : public EpochDriver
 {
   public:
@@ -82,6 +83,7 @@ Scheduler::Scheduler(System &sys, SchedConfig cfg)
 {
     depthHist_ = &stats_.histogram(
         "runqueue_depth", {1, 2, 4, 8, 16, 32, 64, 128, 256, 512});
+    executed_ = &stats_.counter("items_executed");
     sys_.registerExternalStatGroup(&stats_);
     if (cfg_.registerWithSystem) {
         sys_.setPlacer(this);
@@ -331,8 +333,7 @@ Scheduler::execOne(NodeId node, WorkItem &item)
                           0, item.tag, item.weight);
     if (item.fn)
         item.fn(node);
-    ++executed_;
-    ++stats_.counter("items_executed");
+    ++*executed_;
 }
 
 NodeId
@@ -468,13 +469,13 @@ Scheduler::runInline()
 {
     Cycles before = sys_.machine().maxRuntime();
     for (;;) {
-        std::uint64_t ranBefore = executed_;
+        std::uint64_t ranBefore = itemsExecuted();
         for (NodeId n = 0; n < queues_.size(); ++n)
             runBlockOn(n, cfg_.runBlock);
         stealRound();
         // Only stranded (dead-node) items can remain once a full
         // round executes nothing.
-        if (executed_ == ranBefore)
+        if (itemsExecuted() == ranBefore)
             break;
     }
     return sys_.machine().maxRuntime() - before;

@@ -137,7 +137,11 @@ class Scheduler final : public Placer
 
     std::size_t queueDepth(NodeId node) const;
     std::size_t totalQueued() const;
-    std::uint64_t itemsExecuted() const { return executed_; }
+
+    /** Items executed so far (the items_executed counter). Lanes bump
+     *  it concurrently, so the value is exact only at serial points:
+     *  epoch barriers, and after runToIdle()/runInline() return. */
+    std::uint64_t itemsExecuted() const { return executed_->value(); }
 
     /**
      * Drain every run queue through the System's host executor
@@ -194,7 +198,8 @@ class Scheduler final : public Placer
     StatGroup stats_;
     /** Run-queue depth distribution, sampled each steal round. */
     Histogram *depthHist_ = nullptr;
-    std::uint64_t executed_ = 0;
+    /** items_executed, bumped from parallel lanes in execOne(). */
+    Counter *executed_ = nullptr;
     std::uint64_t crashHookToken_ = 0;
     bool registered_ = false;
 
