@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+
+#include <unistd.h>
 
 #include "stramash/sched/scheduler.hh"
 #include "stramash/workloads/npb.hh"
@@ -83,12 +86,17 @@ captureMachine(System &sys, Fingerprint &fp)
 std::string
 slurpStatsJson(System &sys, const std::string &tag)
 {
-    std::string path =
-        testing::TempDir() + "sched_diff_" + tag + ".json";
+    // CTest runs each design's case in its own process, in parallel,
+    // and the tags do not name the design: keep the files apart.
+    std::string path = testing::TempDir() + "sched_diff_" +
+                       std::to_string(getpid()) + "_" + tag + ".json";
     EXPECT_TRUE(sys.writeStatsJson(path));
-    std::ifstream in(path);
     std::stringstream ss;
-    ss << in.rdbuf();
+    {
+        std::ifstream in(path);
+        ss << in.rdbuf();
+    }
+    std::remove(path.c_str());
     return ss.str();
 }
 

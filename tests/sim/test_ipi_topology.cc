@@ -4,6 +4,20 @@
 
 using namespace stramash;
 
+namespace stramash
+{
+
+// Without a printer gtest dumps the model's bytes, std::string pointer
+// included, and CTest puts that dump into the test name, which then
+// changes from one build to the next. Print the machine name instead.
+void
+PrintTo(const IpiTopologyModel &m, std::ostream *os)
+{
+    *os << m.name;
+}
+
+} // namespace stramash
+
 class IpiModels : public testing::TestWithParam<IpiTopologyModel>
 {
 };
