@@ -150,9 +150,9 @@ class Histogram
 };
 
 /**
- * A named collection of counters and histograms. Components register
- * their stats once at construction; lookups after that are by
- * pointer, not name.
+ * A named collection of counters and histograms. Stats register on
+ * first use; hot paths hold a CounterHandle or HistogramHandle so
+ * that every later use is by pointer, not name.
  */
 class StatGroup
 {
@@ -229,6 +229,84 @@ class StatGroup
     mutable std::mutex regMu_;
     std::map<std::string, Counter> counters_;
     std::map<std::string, Histogram> histograms_;
+};
+
+/**
+ * A counter of a StatGroup, looked up by name on its first use and by
+ * pointer after that, for hot paths that would otherwise pay a
+ * string-keyed lookup per event. Registration stays lazy, exactly as
+ * with StatGroup::counter(): a stat that never fires never appears in
+ * the group. Lane-safe: lanes racing on the first use both register
+ * through the group's mutex, get the same stable pointer, and publish
+ * it with release ordering, so an acquire load that sees the pointer
+ * sees a registered counter.
+ */
+class CounterHandle
+{
+  public:
+    CounterHandle(StatGroup &group, std::string name)
+        : group_(group), name_(std::move(name))
+    {
+    }
+
+    CounterHandle(const CounterHandle &) = delete;
+    CounterHandle &operator=(const CounterHandle &) = delete;
+
+    Counter &
+    get()
+    {
+        Counter *c = ptr_.load(std::memory_order_acquire);
+        if (!c) {
+            c = &group_.counter(name_);
+            ptr_.store(c, std::memory_order_release);
+        }
+        return *c;
+    }
+
+    CounterHandle &
+    operator+=(std::uint64_t delta)
+    {
+        get() += delta;
+        return *this;
+    }
+
+  private:
+    StatGroup &group_;
+    std::string name_;
+    std::atomic<Counter *> ptr_{nullptr};
+};
+
+/** A histogram of a StatGroup, resolved like CounterHandle. */
+class HistogramHandle
+{
+  public:
+    HistogramHandle(StatGroup &group, std::string name,
+                    std::vector<std::uint64_t> edges)
+        : group_(group), name_(std::move(name)), edges_(std::move(edges))
+    {
+    }
+
+    HistogramHandle(const HistogramHandle &) = delete;
+    HistogramHandle &operator=(const HistogramHandle &) = delete;
+
+    Histogram &
+    get()
+    {
+        Histogram *h = ptr_.load(std::memory_order_acquire);
+        if (!h) {
+            h = &group_.histogram(name_, edges_);
+            ptr_.store(h, std::memory_order_release);
+        }
+        return *h;
+    }
+
+    void sample(std::uint64_t v) { get().sample(v); }
+
+  private:
+    StatGroup &group_;
+    std::string name_;
+    std::vector<std::uint64_t> edges_;
+    std::atomic<Histogram *> ptr_{nullptr};
 };
 
 } // namespace stramash

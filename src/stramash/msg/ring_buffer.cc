@@ -1,5 +1,6 @@
 #include "stramash/msg/ring_buffer.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "stramash/common/logging.hh"
@@ -37,20 +38,12 @@ MessageRing::MessageRing(Machine &machine, Addr base, Addr bytes)
     numSlots_ = (bytes - 64) / slotBytes;
     // Zero the control words through plain (uncharged) writes: this
     // is boot-time initialisation.
-    machine_.memory().store<std::uint64_t>(headAddr(), 0);
-    machine_.memory().store<std::uint64_t>(tailAddr(), 0);
+    machine_.memory().store<std::uint64_t>(headAddr(), head_);
+    machine_.memory().store<std::uint64_t>(tailAddr(), tail_);
     // Materialise every frame of the ring now: a first-touch write
-    // mutates the guest frame map, which parallel host lanes read
+    // grows the guest page directory, which parallel host lanes read
     // concurrently — all ring storage must exist before any session.
     machine_.memory().ensureBacked(base_, bytes);
-}
-
-std::size_t
-MessageRing::size() const
-{
-    auto head = machine_.memory().load<std::uint64_t>(headAddr());
-    auto tail = machine_.memory().load<std::uint64_t>(tailAddr());
-    return static_cast<std::size_t>(tail - head);
 }
 
 bool
@@ -63,13 +56,11 @@ MessageRing::enqueue(NodeId producer, const Message &msg)
     // Control words: load head and tail.
     machine_.dataAccess(producer, AccessType::Load, headAddr(), 8);
     machine_.dataAccess(producer, AccessType::Load, tailAddr(), 8);
-    auto head = mem.load<std::uint64_t>(headAddr());
-    auto tail = mem.load<std::uint64_t>(tailAddr());
-    if (tail - head >= numSlots_ - 1)
+    if (size() >= capacity())
         return false;
 
     // Serialise into the slot, charging the stores.
-    Addr slot = slotAddr(tail % numSlots_);
+    Addr slot = slotAddr(tail_ % numSlots_);
     WireHeader h{};
     h.type = static_cast<std::uint8_t>(msg.type);
     h.from = msg.from;
@@ -96,11 +87,10 @@ MessageRing::enqueue(NodeId producer, const Message &msg)
     }
 
     // Publish: bump tail.
-    mem.store<std::uint64_t>(tailAddr(), tail + 1);
+    ++tail_;
+    mem.store<std::uint64_t>(tailAddr(), tail_);
     machine_.dataAccess(producer, AccessType::Store, tailAddr(), 8);
-    std::size_t depth = static_cast<std::size_t>(tail + 1 - head);
-    if (depth > highWatermark_)
-        highWatermark_ = depth;
+    highWatermark_ = std::max(highWatermark_, size());
     return true;
 }
 
@@ -111,12 +101,10 @@ MessageRing::dequeue(NodeId consumer)
 
     machine_.dataAccess(consumer, AccessType::Load, headAddr(), 8);
     machine_.dataAccess(consumer, AccessType::Load, tailAddr(), 8);
-    auto head = mem.load<std::uint64_t>(headAddr());
-    auto tail = mem.load<std::uint64_t>(tailAddr());
-    if (head == tail)
+    if (head_ == tail_)
         return std::nullopt;
 
-    Addr slot = slotAddr(head % numSlots_);
+    Addr slot = slotAddr(head_ % numSlots_);
     WireHeader h{};
     mem.read(slot, &h, sizeof(h));
     machine_.dataAccess(consumer, AccessType::Load, slot,
@@ -142,7 +130,8 @@ MessageRing::dequeue(NodeId consumer)
                               static_cast<unsigned>(h.payloadSize));
     }
 
-    mem.store<std::uint64_t>(headAddr(), head + 1);
+    ++head_;
+    mem.store<std::uint64_t>(headAddr(), head_);
     machine_.dataAccess(consumer, AccessType::Store, headAddr(), 8);
     return msg;
 }
@@ -151,9 +140,7 @@ bool
 MessageRing::pollProbe(NodeId consumer)
 {
     machine_.dataAccess(consumer, AccessType::Load, tailAddr(), 8);
-    auto head = machine_.memory().load<std::uint64_t>(headAddr());
-    auto tail = machine_.memory().load<std::uint64_t>(tailAddr());
-    return head != tail;
+    return head_ != tail_;
 }
 
 void

@@ -28,6 +28,13 @@ namespace stramash
  *   [0,  8)  head (next slot to read), written by consumer
  *   [8, 16)  tail (next slot to write), written by producer
  *   [64, …)  slots of slotBytes each
+ *
+ * The ring keeps host copies of head and tail and decides from those,
+ * so no operation reads the control words back out of guest memory.
+ * Every update is still stored to the guest words, and every load and
+ * store of them is still charged through the cache model, so the
+ * simulated cost is that of a ring that reads its words from memory.
+ * Only this object writes the control words.
  */
 class MessageRing
 {
@@ -46,7 +53,11 @@ class MessageRing
     std::size_t capacity() const { return numSlots_ - 1; }
 
     /** Messages currently queued. */
-    std::size_t size() const;
+    std::size_t
+    size() const
+    {
+        return static_cast<std::size_t>(tail_ - head_);
+    }
 
     // ---- occupancy / backpressure hooks (uncharged host reads) ----
 
@@ -105,6 +116,9 @@ class MessageRing
     Addr base_;
     std::size_t numSlots_;
     std::size_t highWatermark_ = 0;
+    /** Host copies of the guest head and tail words. */
+    std::uint64_t head_ = 0;
+    std::uint64_t tail_ = 0;
 
     Addr headAddr() const { return base_; }
     Addr tailAddr() const { return base_ + 8; }

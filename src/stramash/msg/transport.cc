@@ -31,6 +31,10 @@ tlsRingScope()
 MessageLayer::MessageLayer(Machine &machine)
     : machine_(machine), stats_("msg")
 {
+    for (unsigned t = 0; t < msgTypeCount; ++t)
+        sentByType_.emplace_back(
+            stats_, std::string("sent.") +
+                        msgTypeName(static_cast<MsgType>(t)));
     pairNodes_ = machine.nodeCount();
     if (pairNodes_ > 1)
         pairMu_ =
@@ -128,13 +132,7 @@ MessageLayer::send(const Message &msg)
         if (m.respondsTo != 0)
             cacheReply(m.respondsTo, m);
     }
-    sent_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(m.wireSize(), std::memory_order_relaxed);
-    stats_.counter("sent_total") += 1;
-    stats_.counter(std::string("sent.") + msgTypeName(m.type)) += 1;
-    stats_.counter("bytes_sent") += m.wireSize();
-    stats_.histogram("wire_bytes", {64, 256, 1024, 4096})
-        .sample(m.wireSize());
+    countSend(m);
     // The span covers the sender-side transport costs (ring stores /
     // stack copy); the event name is the message type so Perfetto
     // tracks read as a protocol timeline.
@@ -486,13 +484,19 @@ MessageLayer::resetCounters()
 void
 MessageLayer::noteModeledSend(const Message &msg)
 {
+    countSend(msg);
+}
+
+void
+MessageLayer::countSend(const Message &msg)
+{
     std::uint64_t wire = msg.wireSize();
     sent_.fetch_add(1, std::memory_order_relaxed);
     bytes_.fetch_add(wire, std::memory_order_relaxed);
-    stats_.counter("sent_total") += 1;
-    stats_.counter(std::string("sent.") + msgTypeName(msg.type)) += 1;
-    stats_.counter("bytes_sent") += wire;
-    stats_.histogram("wire_bytes", {64, 256, 1024, 4096}).sample(wire);
+    sentTotal_ += 1;
+    sentByType_[static_cast<unsigned>(msg.type)] += 1;
+    bytesSent_ += wire;
+    wireBytes_.sample(wire);
 }
 
 // ===================== ShmMessageLayer ===============================
@@ -500,21 +504,25 @@ MessageLayer::noteModeledSend(const Message &msg)
 ShmMessageLayer::ShmMessageLayer(Machine &machine, Addr areaBase,
                                  Addr areaBytes, bool useIpi,
                                  MsgCosts costs)
-    : MessageLayer(machine), useIpi_(useIpi), costs_(costs)
+    : MessageLayer(machine), useIpi_(useIpi), costs_(costs),
+      nodes_(machine.nodeCount()), rings_(nodes_ * nodes_),
+      inbound_(nodes_)
 {
-    // One ring per ordered node pair, splitting the area evenly.
-    std::size_t n = machine.nodeCount();
-    std::size_t pairs = n * (n - 1);
+    // One ring per ordered node pair, splitting the area evenly. The
+    // rings are laid out in (from, to) order; their bases are not
+    // page-aligned, and must not move: slot addresses decide the
+    // simulated cache behaviour.
+    std::size_t pairs = nodes_ * (nodes_ - 1);
     panic_if(pairs == 0, "SHM messaging needs >= 2 nodes");
     Addr perRing = areaBytes / pairs;
     Addr base = areaBase;
-    for (NodeId f = 0; f < n; ++f) {
-        for (NodeId t = 0; t < n; ++t) {
+    for (NodeId f = 0; f < nodes_; ++f) {
+        for (NodeId t = 0; t < nodes_; ++t) {
             if (f == t)
                 continue;
-            rings_.emplace(std::make_pair(f, t),
-                           std::make_unique<MessageRing>(machine, base,
-                                                         perRing));
+            auto &r = rings_[f * nodes_ + t];
+            r = std::make_unique<MessageRing>(machine, base, perRing);
+            inbound_[t].emplace_back(f, r.get());
             base += perRing;
         }
     }
@@ -560,19 +568,17 @@ ShmMessageLayer::areaBaseFor(const PhysMap &map, Addr areaBytes)
 }
 
 MessageRing &
-ShmMessageLayer::ring(NodeId from, NodeId to)
+ShmMessageLayer::ring(NodeId from, NodeId to) const
 {
-    auto it = rings_.find({from, to});
-    panic_if(it == rings_.end(), "no ring ", from, "->", to);
-    return *it->second;
+    panic_if(from >= nodes_ || to >= nodes_ || from == to, "no ring ",
+             from, "->", to);
+    return *rings_[from * nodes_ + to];
 }
 
 double
 ShmMessageLayer::channelOccupancy(NodeId from, NodeId to) const
 {
-    auto it = rings_.find({from, to});
-    panic_if(it == rings_.end(), "no ring ", from, "->", to);
-    return it->second->occupancy();
+    return ring(from, to).occupancy();
 }
 
 Errc
@@ -584,8 +590,7 @@ ShmMessageLayer::transportSend(const Message &msg)
         return Errc::RingFull;
     // Post-enqueue depth: the queue-depth distribution an admission
     // controller needs to see to size its shed threshold.
-    stats_.histogram("ring_depth", {1, 2, 4, 8, 16, 32, 64, 128})
-        .sample(r.size());
+    ringDepth_.sample(r.size());
     if (useIpi_)
         machine_.sendIpi(msg.from, msg.to);
     return Errc::Ok;
@@ -595,21 +600,19 @@ std::optional<Message>
 ShmMessageLayer::transportReceive(NodeId node)
 {
     const RingScope &rs = tlsRingScope();
+    panic_if(node >= nodes_, "no rings into node ", node);
     // Check every ring that targets this node.
-    for (auto &kv : rings_) {
-        if (kv.first.second != node)
-            continue;
+    for (auto [from, r] : inbound_[node]) {
         // Under a channel claim, only the claimed pair's rings are
         // ours to drain: other pairs' traffic belongs to the lanes
         // holding those claims. The classic scan would have found
         // those rings empty (channels drain synchronously) and paid
         // the two control-word loads — charge the same, blind.
-        if (rs.active && (!rs.covers(kv.first.first) ||
-                          !rs.covers(node))) {
-            kv.second->chargeEmptyPeek(node);
+        if (rs.active && (!rs.covers(from) || !rs.covers(node))) {
+            r->chargeEmptyPeek(node);
             continue;
         }
-        auto m = kv.second->dequeue(node);
+        auto m = r->dequeue(node);
         if (m) {
             machine_.stall(node, costs_.handlerCycles);
             return m;

@@ -228,6 +228,9 @@ class MessageLayer
     StatGroup stats_;
 
   private:
+    /** Bump the send counters and wire-size histogram for @p msg. */
+    void countSend(const Message &msg);
+
     std::map<NodeId, MsgHandler> handlers_;
     // Relaxed atomics: parallel lanes send concurrently (on disjoint,
     // pair-locked channels); totals are exact sums either way. seq
@@ -237,6 +240,12 @@ class MessageLayer
     std::atomic<std::uint64_t> sent_{0};
     std::atomic<std::uint64_t> bytes_{0};
     std::atomic<std::uint64_t> seq_{0};
+    CounterHandle sentTotal_{stats_, "sent_total"};
+    /** sent.<type>, indexed by MsgType. */
+    std::deque<CounterHandle> sentByType_;
+    CounterHandle bytesSent_{stats_, "bytes_sent"};
+    HistogramHandle wireBytes_{stats_, "wire_bytes",
+                               {64, 256, 1024, 4096}};
     /** Channel-pair locks, indexed min(a,b) * nodeCount + max(a,b). */
     std::size_t pairNodes_ = 0;
     std::unique_ptr<std::mutex[]> pairMu_;
@@ -341,11 +350,20 @@ class ShmMessageLayer final : public MessageLayer
   private:
     bool useIpi_;
     MsgCosts costs_;
-    /** (from, to) -> ring. */
-    std::map<std::pair<NodeId, NodeId>, std::unique_ptr<MessageRing>>
-        rings_;
+    std::size_t nodes_;
+    /** One ring per ordered pair, indexed from * nodes_ + to; the
+     *  diagonal is empty. */
+    std::vector<std::unique_ptr<MessageRing>> rings_;
+    /** Per destination, its inbound rings in ascending source order:
+     *  the order a receive scans them, which decides which pending
+     *  message is delivered first. */
+    std::vector<std::vector<std::pair<NodeId, MessageRing *>>>
+        inbound_;
+    /** Post-enqueue ring depth, for admission-control sizing. */
+    HistogramHandle ringDepth_{stats_, "ring_depth",
+                               {1, 2, 4, 8, 16, 32, 64, 128}};
 
-    MessageRing &ring(NodeId from, NodeId to);
+    MessageRing &ring(NodeId from, NodeId to) const;
 };
 
 /**

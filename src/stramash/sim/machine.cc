@@ -289,7 +289,7 @@ Machine::deliverIpi(NodeId from, NodeId to)
     Cycles start = dst.cycles();
     dst.stall(lat);
     ++ipisReceived_[to];
-    dst.stats().counter("ipis_received") += 1;
+    dst.ipisReceivedStat() += 1;
     tracer_.emit(TraceCategory::Ipi, "ipi.deliver", to, 0, start,
                  dst.cycles(), from, to);
     return lat;

@@ -100,11 +100,15 @@ class Node
 
     StatGroup &stats() { return stats_; }
 
+    /** The ipis_received stat, resolved on the first delivery. */
+    CounterHandle &ipisReceivedStat() { return ipisReceived_; }
+
   private:
     NodeConfig cfg_;
     const IsaDescriptor &desc_;
     const LatencyProfile &profile_;
     StatGroup stats_;
+    CounterHandle ipisReceived_{stats_, "ipis_received"};
     ICount icount_ = 0;
     Cycles cycles_ = 0;
     Cycles memCycles_ = 0;

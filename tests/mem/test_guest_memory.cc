@@ -88,3 +88,48 @@ TEST(GuestMemory, SparsenessAtScale)
         mem.store<std::uint8_t>(a, 1);
     EXPECT_EQ(mem.frameCount(), 128u);
 }
+
+TEST(GuestMemory, HighAddressRoundTrip)
+{
+    GuestMemory mem;
+    mem.store<std::uint64_t>(0xdeadbeef000, 0x0123456789abcdefULL);
+    EXPECT_EQ(mem.load<std::uint64_t>(0xdeadbeef000),
+              0x0123456789abcdefULL);
+    EXPECT_EQ(mem.frameCount(), 1u);
+}
+
+TEST(GuestMemory, UntouchedNeighboursInOneDirectoryNodeReadZero)
+{
+    GuestMemory mem;
+    // 0x40200000 opens a 2 MiB region of the second GiB: its
+    // neighbours share the same directory node and leaf.
+    Addr a = 0x40200000;
+    mem.store<std::uint64_t>(a + 8, ~0ull);
+    EXPECT_EQ(mem.load<std::uint64_t>(a), 0u);
+    EXPECT_EQ(mem.load<std::uint64_t>(a + 16), 0u);
+    EXPECT_EQ(mem.load<std::uint64_t>(a + pageSize), 0u);
+    EXPECT_EQ(mem.load<std::uint64_t>(a - pageSize), 0u);
+    EXPECT_EQ(mem.load<std::uint64_t>(a + (Addr{1} << 21)), 0u);
+    EXPECT_EQ(mem.load<std::uint64_t>(a + 8), ~0ull);
+    EXPECT_EQ(mem.frameCount(), 1u);
+}
+
+TEST(GuestMemory, WriteNearTopOfAddressSpaceStaysBounded)
+{
+    GuestMemory mem;
+    Addr high = (Addr{1} << 46) - pageSize;
+    mem.store<std::uint32_t>(high, 0xfeedu);
+    EXPECT_EQ(mem.load<std::uint32_t>(high), 0xfeedu);
+    EXPECT_EQ(mem.frameCount(), 1u);
+    // One frame, one leaf, one directory node and a top vector of
+    // 2^16 slots: well under a MiB, not a flat map of the range.
+    EXPECT_LT(mem.hostBytes(), std::size_t{1} << 20);
+}
+
+TEST(GuestMemoryDeath, WriteBeyondAddressWidthPanics)
+{
+    GuestMemory mem;
+    EXPECT_DEATH(mem.store<std::uint8_t>(Addr{1} << GuestMemory::addrBits,
+                                         1),
+                 "exceeds");
+}

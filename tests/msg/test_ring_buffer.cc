@@ -208,3 +208,56 @@ TEST(RingOccupancy, FullRingReportsFullAndRefuses)
     EXPECT_FALSE(ring.enqueue(0, msg));
     EXPECT_EQ(ring.highWatermark(), ring.capacity());
 }
+
+namespace
+{
+
+/** The depth the guest control words describe. */
+std::uint64_t
+guestDepth(Machine &m, const MessageRing &ring)
+{
+    return m.memory().load<std::uint64_t>(ring.base() + 8) -
+           m.memory().load<std::uint64_t>(ring.base());
+}
+
+/** Wrap the ring twice over, then fill it until it refuses. */
+void
+checkGuestWordsTrackHostCopies(Machine &m, MessageRing &ring)
+{
+    Message msg;
+    msg.type = MsgType::TaskMigrate;
+    msg.from = 0;
+    msg.to = 1;
+    for (std::size_t i = 0; i < 2 * ring.capacity() + 1; ++i) {
+        ASSERT_TRUE(ring.enqueue(0, msg));
+        ASSERT_EQ(ring.size(), guestDepth(m, ring));
+        ASSERT_TRUE(ring.dequeue(1).has_value());
+        ASSERT_EQ(ring.size(), guestDepth(m, ring));
+    }
+    while (!ring.full())
+        ASSERT_TRUE(ring.enqueue(0, msg));
+    EXPECT_FALSE(ring.enqueue(0, msg));
+    EXPECT_EQ(ring.size(), ring.capacity());
+    EXPECT_EQ(ring.size(), guestDepth(m, ring));
+    ASSERT_TRUE(ring.dequeue(1).has_value());
+    EXPECT_EQ(ring.size(), guestDepth(m, ring));
+}
+
+} // namespace
+
+TEST(RingControlWords, GuestWordsMatchSizeAfterWrapAndRefusal)
+{
+    Machine m(MachineConfig::paperPair(MemoryModel::Shared));
+    MessageRing ring(m, 4_GiB, 64 + 4 * MessageRing::slotBytes);
+    checkGuestWordsTrackHostCopies(m, ring);
+}
+
+TEST(RingControlWords, HeadWordStraddlingAPageMatchesSize)
+{
+    // Ring bases are not page-aligned: at page offset 4092 the head
+    // word spans two frames.
+    Machine m(MachineConfig::paperPair(MemoryModel::Shared));
+    MessageRing ring(m, 4_GiB + 4092, 64 + 4 * MessageRing::slotBytes);
+    ASSERT_EQ(pageOffset(ring.base()), 4092u);
+    checkGuestWordsTrackHostCopies(m, ring);
+}

@@ -66,6 +66,28 @@ TEST_P(TransportBoth, CountersTrackTraffic)
     EXPECT_EQ(layer_->messagesSent(), 0u);
 }
 
+TEST_P(TransportBoth, SendStatsRegisterOnFirstUse)
+{
+    // A layer that has sent nothing reports no send stats at all, so
+    // the stats JSON gains no zero counters.
+    const StatGroup &stats = layer_->stats();
+    EXPECT_TRUE(stats.counters().empty());
+    EXPECT_TRUE(stats.histograms().empty());
+
+    layer_->send(mkMsg(MsgType::FutexWait, 0, 1));
+    EXPECT_EQ(stats.value("sent_total"), 1u);
+    EXPECT_EQ(stats.value("sent.futex_wait"), 1u);
+    for (const auto &kv : stats.counters()) {
+        if (kv.first.rfind("sent.", 0) == 0) {
+            EXPECT_EQ(kv.first, "sent.futex_wait");
+        }
+    }
+    ASSERT_NE(stats.findHistogram("wire_bytes"), nullptr);
+    EXPECT_EQ(stats.findHistogram("wire_bytes")->count(), 1u);
+    EXPECT_EQ(stats.hasHistogram("ring_depth"),
+              GetParam() == Transport::SharedMemory);
+}
+
 TEST_P(TransportBoth, DispatchPendingDrivesHandler)
 {
     int delivered = 0;
@@ -158,6 +180,27 @@ TEST(ShmTransport, PollingModeSkipsIpi)
     layer.send(mkMsg(MsgType::TaskMigrate, 0, 1));
     EXPECT_EQ(m.ipisReceived(1), 0u);
     EXPECT_TRUE(layer.tryReceive(1).has_value());
+}
+
+TEST(ShmTransport, ReceiveScansSourcesInAscendingOrder)
+{
+    MachineConfig cfg = MachineConfig::fromTopology(
+        TopologySpec::alternating(4, MemoryModel::Shared));
+    Machine m(cfg);
+    ShmMessageLayer layer(m, ShmMessageLayer::areaBaseFor(m.physMap(),
+                                                          16_MiB),
+                          16_MiB, false);
+    for (NodeId from : {3u, 1u, 2u})
+        layer.send(mkMsg(MsgType::FutexWait, from, 0));
+    EXPECT_GT(layer.channelOccupancy(3, 0), 0.0);
+    EXPECT_DOUBLE_EQ(layer.channelOccupancy(0, 3), 0.0);
+    for (NodeId want : {1u, 2u, 3u}) {
+        auto out = layer.tryReceive(0);
+        ASSERT_TRUE(out.has_value());
+        EXPECT_EQ(out->from, want);
+    }
+    EXPECT_FALSE(layer.tryReceive(0).has_value());
+    EXPECT_DOUBLE_EQ(layer.channelOccupancy(3, 0), 0.0);
 }
 
 TEST(ShmTransport, PaperPlacementRules)
