@@ -132,7 +132,8 @@ MessageLayer::send(const Message &msg)
         if (m.respondsTo != 0)
             cacheReply(m.respondsTo, m);
     }
-    countSend(m);
+    // The counters every send bumps, moved or modeled.
+    noteModeledSend(m);
     // The span covers the sender-side transport costs (ring stores /
     // stack copy); the event name is the message type so Perfetto
     // tracks read as a protocol timeline.
@@ -483,12 +484,6 @@ MessageLayer::resetCounters()
 
 void
 MessageLayer::noteModeledSend(const Message &msg)
-{
-    countSend(msg);
-}
-
-void
-MessageLayer::countSend(const Message &msg)
 {
     std::uint64_t wire = msg.wireSize();
     sent_.fetch_add(1, std::memory_order_relaxed);

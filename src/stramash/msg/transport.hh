@@ -202,8 +202,8 @@ class MessageLayer
      * Account a message the caller *modeled* rather than moved
      * through the transport (the parallel kv service charges wire
      * costs itself and delivers payloads as epoch events): bumps the
-     * send counters and wire-size histogram exactly as send() would,
-     * without touching rings or queues.
+     * send counters and wire-size histogram, through the same call
+     * send() makes, without touching rings or queues.
      */
     void noteModeledSend(const Message &msg);
 
@@ -228,9 +228,6 @@ class MessageLayer
     StatGroup stats_;
 
   private:
-    /** Bump the send counters and wire-size histogram for @p msg. */
-    void countSend(const Message &msg);
-
     std::map<NodeId, MsgHandler> handlers_;
     // Relaxed atomics: parallel lanes send concurrently (on disjoint,
     // pair-locked channels); totals are exact sums either way. seq
@@ -241,7 +238,8 @@ class MessageLayer
     std::atomic<std::uint64_t> bytes_{0};
     std::atomic<std::uint64_t> seq_{0};
     CounterHandle sentTotal_{stats_, "sent_total"};
-    /** sent.<type>, indexed by MsgType. */
+    /** sent.<type>, indexed by MsgType; a deque, as handles do not
+     *  move. */
     std::deque<CounterHandle> sentByType_;
     CounterHandle bytesSent_{stats_, "bytes_sent"};
     HistogramHandle wireBytes_{stats_, "wire_bytes",
